@@ -84,7 +84,7 @@ void BM_ProofSize(benchmark::State& state) {
       state.SkipWithError(proof.status().ToString().c_str());
       return;
     }
-    proof_steps = proof->steps.size();
+    proof_steps = proof->proof.steps.size();
     benchmark::DoNotOptimize(proof);
   }
   state.counters["proof_steps"] = static_cast<double>(proof_steps);

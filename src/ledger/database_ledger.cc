@@ -1,7 +1,9 @@
 #include "ledger/database_ledger.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <tuple>
 
 #include "util/coding.h"
 
@@ -60,6 +62,10 @@ Result<std::vector<std::pair<uint32_t, Hash256>>> DecodeTableRoots(
   }
   if (!dec.done()) return Status::Corruption("trailing bytes in table roots");
   return roots;
+}
+
+KeyTuple IdKey(uint64_t id) {
+  return KeyTuple{Value::BigInt(static_cast<int64_t>(id))};
 }
 
 Value HashValue(const Hash256& h) {
@@ -229,6 +235,11 @@ Status DatabaseLedger::CloseOpenBlockLocked() {
       open_entries_.empty() ? 0 : open_entries_.back().commit_ts_micros;
 
   SL_RETURN_IF_ERROR(blocks_table_->Insert(BlockRecordToRow(block)));
+  std::vector<uint64_t> txn_ids;
+  txn_ids.reserve(open_entries_.size());
+  for (const TransactionEntry& e : open_entries_) txn_ids.push_back(e.txn_id);
+  block_txns_.emplace_hint(block_txns_.end(), block.block_id,
+                           std::move(txn_ids));
   last_block_hash_ = block.ComputeHash();
   open_block_id_++;
   open_entries_.clear();
@@ -303,8 +314,7 @@ Status DatabaseLedger::DrainQueue() {
 
 Status DatabaseLedger::RecoverEntry(const TransactionEntry& entry) {
   MutexLock lock(&mu_);
-  KeyTuple key{Value::BigInt(static_cast<int64_t>(entry.txn_id))};
-  bool persisted = transactions_table_->Get(key) != nullptr;
+  bool persisted = transactions_table_->Get(IdKey(entry.txn_id)) != nullptr;
   bool in_open_block = false;
   for (const TransactionEntry& e : open_entries_) {
     if (e.txn_id == entry.txn_id) {
@@ -358,9 +368,15 @@ Status DatabaseLedger::LoadFromTables() {
   uint64_t max_closed = 0;
   bool any_block = false;
   BlockRecord last_block;
+  // Per closed block, its entries' (ordinal, txn id) pairs. Sorted rather
+  // than placed by ordinal, so a tampered ordinal cannot force a huge
+  // allocation; a block whose entries were tampered with then fails its
+  // root check in ProveTransaction.
+  std::map<uint64_t, std::vector<std::pair<uint64_t, uint64_t>>> slots;
   for (BTree::Iterator it = blocks_table_->Scan(); it.Valid(); it.Next()) {
     auto block = RowToBlockRecord(it.value());
     if (!block.ok()) return block.status();
+    slots.try_emplace(block->block_id);
     any_block = true;
     if (block->block_id >= max_closed) {
       max_closed = block->block_id;
@@ -381,7 +397,21 @@ Status DatabaseLedger::LoadFromTables() {
     total_entries_++;
     if (entry->commit_ts_micros > last_commit_ts_)
       last_commit_ts_ = entry->commit_ts_micros;
-    if (entry->block_id == open_block_id_) open.push_back(std::move(*entry));
+    if (entry->block_id == open_block_id_) {
+      open.push_back(std::move(*entry));
+    } else {
+      auto block = slots.find(entry->block_id);
+      if (block != slots.end())
+        block->second.emplace_back(entry->block_ordinal, entry->txn_id);
+    }
+  }
+  block_txns_.clear();
+  for (auto& [block_id, pairs] : slots) {
+    std::sort(pairs.begin(), pairs.end());
+    std::vector<uint64_t> txn_ids;
+    txn_ids.reserve(pairs.size());
+    for (const auto& [ordinal, txn_id] : pairs) txn_ids.push_back(txn_id);
+    block_txns_.emplace_hint(block_txns_.end(), block_id, std::move(txn_ids));
   }
   std::sort(open.begin(), open.end(),
             [](const TransactionEntry& a, const TransactionEntry& b) {
@@ -439,19 +469,14 @@ Result<DatabaseLedger::TxnRange> DatabaseLedger::CollectTxnsBelow(
     uint64_t below_block) const {
   MutexLock lock(&mu_);
   TxnRange range;
-  bool first = true;
-  for (BTree::Iterator it = transactions_table_->Scan(); it.Valid();
-       it.Next()) {
-    auto entry = RowToTransactionEntry(it.value());
-    if (!entry.ok()) return entry.status();
-    if (entry->block_id >= below_block) continue;
-    range.txn_ids.push_back(entry->txn_id);
-    if (first || entry->txn_id < range.min_txn_id)
-      range.min_txn_id = entry->txn_id;
-    if (first || entry->txn_id > range.max_txn_id)
-      range.max_txn_id = entry->txn_id;
-    first = false;
-  }
+  for (auto it = block_txns_.begin();
+       it != block_txns_.end() && it->first < below_block; ++it)
+    range.txn_ids.insert(range.txn_ids.end(), it->second.begin(),
+                         it->second.end());
+  if (range.txn_ids.empty()) return range;
+  std::sort(range.txn_ids.begin(), range.txn_ids.end());
+  range.min_txn_id = range.txn_ids.front();
+  range.max_txn_id = range.txn_ids.back();
   return range;
 }
 
@@ -460,41 +485,31 @@ Status DatabaseLedger::TruncateBelow(uint64_t below_block) {
   if (below_block >= open_block_id_)
     return Status::InvalidArgument(
         "cannot truncate the open block or beyond");
-  std::vector<KeyTuple> txn_keys;
-  for (BTree::Iterator it = transactions_table_->Scan(); it.Valid();
-       it.Next()) {
-    auto entry = RowToTransactionEntry(it.value());
-    if (!entry.ok()) return entry.status();
-    if (entry->block_id < below_block) txn_keys.push_back(it.key());
+  // Every closed block is in the index, so its blocks below the cut and
+  // their entries are exactly the truncated range. The caller has drained
+  // the queue, so every such entry is in the table. A block leaves the
+  // index only once its rows are gone.
+  auto it = block_txns_.begin();
+  while (it != block_txns_.end() && it->first < below_block) {
+    for (uint64_t txn_id : it->second)
+      SL_RETURN_IF_ERROR(transactions_table_->Delete(IdKey(txn_id)));
+    SL_RETURN_IF_ERROR(blocks_table_->Delete(IdKey(it->first)));
+    it = block_txns_.erase(it);
   }
-  for (const KeyTuple& key : txn_keys)
-    SL_RETURN_IF_ERROR(transactions_table_->Delete(key));
-
-  std::vector<KeyTuple> block_keys;
-  for (BTree::Iterator it = blocks_table_->Scan(); it.Valid(); it.Next()) {
-    auto block = RowToBlockRecord(it.value());
-    if (!block.ok()) return block.status();
-    if (block->block_id < below_block) block_keys.push_back(it.key());
-  }
-  for (const KeyTuple& key : block_keys)
-    SL_RETURN_IF_ERROR(blocks_table_->Delete(key));
   return Status::OK();
 }
 
 Result<TransactionEntry> DatabaseLedger::FindEntryLocked(
     uint64_t txn_id) const {
-  for (const TransactionEntry& e : open_entries_) {
-    if (e.txn_id == txn_id) return e;
-  }
+  // Every open-block entry is in the table or the queue, so those two
+  // lookups cover the whole ledger.
+  if (const Row* row = transactions_table_->Get(IdKey(txn_id)))
+    return RowToTransactionEntry(*row);
   for (const TransactionEntry& e : queue_) {
     if (e.txn_id == txn_id) return e;
   }
-  KeyTuple key{Value::BigInt(static_cast<int64_t>(txn_id))};
-  const Row* row = transactions_table_->Get(key);
-  if (row == nullptr)
-    return Status::NotFound("transaction " + std::to_string(txn_id) +
-                            " not in ledger");
-  return RowToTransactionEntry(*row);
+  return Status::NotFound("transaction " + std::to_string(txn_id) +
+                          " not in ledger");
 }
 
 Result<TransactionEntry> DatabaseLedger::FindEntry(uint64_t txn_id) const {
@@ -521,8 +536,7 @@ std::vector<BlockRecord> DatabaseLedger::AllBlocks() const {
 
 Result<BlockRecord> DatabaseLedger::FindBlock(uint64_t block_id) const {
   MutexLock lock(&mu_);
-  KeyTuple key{Value::BigInt(static_cast<int64_t>(block_id))};
-  const Row* row = blocks_table_->Get(key);
+  const Row* row = blocks_table_->Get(IdKey(block_id));
   if (row == nullptr)
     return Status::NotFound("block " + std::to_string(block_id) +
                             " not in ledger");
@@ -552,42 +566,66 @@ Hash256 DatabaseLedger::last_block_hash() const {
   return last_block_hash_;
 }
 
-Result<MerkleProof> DatabaseLedger::ProveTransaction(uint64_t txn_id) const {
-  // One critical section for the whole proof: the lookup, the system-table
-  // scan, and the queue sweep must all see the same chain state (a block
-  // close between them would split the entry set across blocks).
+Result<DatabaseLedger::TransactionProof> DatabaseLedger::ProveTransaction(
+    uint64_t txn_id) const {
+  // One critical section for the whole proof: the lookup, the block's
+  // entries and its stored root must all see the same chain state (a block
+  // close or truncation between them would pair a proof with another
+  // block's root).
   MutexLock lock(&mu_);
   auto entry = FindEntryLocked(txn_id);
   if (!entry.ok()) return entry.status();
-  if (entry->block_id >= open_block_id_)
+  const uint64_t block_id = entry->block_id;
+  if (block_id >= open_block_id_)
     return Status::Busy("transaction's block is not closed yet; generate a "
                         "digest to close it");
-  // Gather the block's entries in ordinal order. They may live in the
-  // system table and/or the undrained queue.
-  std::vector<TransactionEntry> block_entries;
-  for (BTree::Iterator it = transactions_table_->Scan(); it.Valid();
-       it.Next()) {
-    auto e = RowToTransactionEntry(it.value());
-    if (!e.ok()) return e.status();
-    if (e->block_id == entry->block_id) block_entries.push_back(std::move(*e));
-  }
-  for (const TransactionEntry& e : queue_) {
-    if (e.block_id != entry->block_id) continue;
-    bool seen = false;
-    for (const TransactionEntry& b : block_entries) {
-      if (b.txn_id == e.txn_id) {
-        seen = true;
-        break;
-      }
+  const std::string block_name = "block " + std::to_string(block_id);
+  const Row* block_row = blocks_table_->Get(IdKey(block_id));
+  auto txn_ids = block_txns_.find(block_id);
+  if (block_row == nullptr || txn_ids == block_txns_.end())
+    return Status::NotFound(block_name + " not in ledger");
+  auto block = RowToBlockRecord(*block_row);
+  if (!block.ok()) return block.status();
+
+  // Gather the block's entries in ordinal order by point lookups: drained
+  // entries from the system table, the rest from the queue, which is in
+  // (block, ordinal) order.
+  std::vector<TransactionEntry> entries;
+  entries.reserve(txn_ids->second.size());
+  for (uint64_t ordinal = 0; ordinal < txn_ids->second.size(); ordinal++) {
+    const uint64_t id = txn_ids->second[ordinal];
+    if (const Row* row = transactions_table_->Get(IdKey(id))) {
+      auto e = RowToTransactionEntry(*row);
+      if (!e.ok()) return e.status();
+      entries.push_back(std::move(*e));
+      continue;
     }
-    if (!seen) block_entries.push_back(e);
+    auto queued = std::lower_bound(
+        queue_.begin(), queue_.end(), std::make_pair(block_id, ordinal),
+        [](const TransactionEntry& e, const std::pair<uint64_t, uint64_t>& k) {
+          return std::tie(e.block_id, e.block_ordinal) <
+                 std::tie(k.first, k.second);
+        });
+    if (queued == queue_.end() || queued->txn_id != id)
+      return Status::Corruption(block_name + ": transaction " +
+                                std::to_string(id) + " is missing");
+    entries.push_back(*queued);
   }
-  std::sort(block_entries.begin(), block_entries.end(),
-            [](const TransactionEntry& a, const TransactionEntry& b) {
-              return a.block_ordinal < b.block_ordinal;
-            });
-  MerkleTree tree(TransactionLeafHashes(block_entries));
-  return tree.Prove(entry->block_ordinal);
+
+  MerkleTree tree(TransactionLeafHashes(entries));
+  if (entry->block_ordinal >= tree.leaf_count())
+    return Status::Corruption(
+        block_name + ": transaction " + std::to_string(txn_id) +
+        " has ordinal " + std::to_string(entry->block_ordinal) +
+        " past the block's " + std::to_string(tree.leaf_count()) + " entries");
+  if (!ConstantTimeEqual(tree.Root(), block->transactions_root))
+    return Status::Corruption(block_name + ": stored entries do not rebuild "
+                              "the stored transactions root");
+  TransactionProof out;
+  out.proof = tree.Prove(entry->block_ordinal);
+  out.entry = std::move(*entry);
+  out.transactions_root = block->transactions_root;
+  return out;
 }
 
 }  // namespace sqlledger

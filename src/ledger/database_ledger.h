@@ -11,6 +11,7 @@
 
 #include <deque>
 #include <functional>
+#include <map>
 #include <vector>
 
 #include "crypto/merkle.h"
@@ -127,7 +128,8 @@ class DatabaseLedger {
   std::vector<TransactionEntry> AllEntries() const;
 
   /// Ledger truncation support (paper §5.2): transaction ids recorded in
-  /// blocks below `below_block`, with their min/max.
+  /// blocks below `below_block` (ascending), with their min/max. Read from
+  /// the per-block ordinal index, not the transactions table.
   struct TxnRange {
     std::vector<uint64_t> txn_ids;
     uint64_t min_txn_id = 0;
@@ -136,11 +138,12 @@ class DatabaseLedger {
   Result<TxnRange> CollectTxnsBelow(uint64_t below_block) const;
 
   /// Physically removes blocks and transaction entries below `below_block`.
-  /// Callers must have re-homed any live data first (TruncateLedger does).
+  /// Callers must have re-homed any live data and drained the queue first
+  /// (TruncateLedger does).
   Status TruncateBelow(uint64_t below_block);
 
-  /// Looks up an entry by transaction id across the system table and the
-  /// open block.
+  /// Looks up an entry by transaction id in the system table, then in the
+  /// undrained queue (which holds every open-block entry not yet drained).
   Result<TransactionEntry> FindEntry(uint64_t txn_id) const;
 
   /// Looks up a closed block.
@@ -164,9 +167,21 @@ class DatabaseLedger {
   };
   LedgerSnapshot Snapshot() const;
 
-  /// Merkle proof that the given transaction is part of its (closed)
-  /// block's transaction tree (paper §3.3.1 requirement 4; receipts §5.1).
-  Result<MerkleProof> ProveTransaction(uint64_t txn_id) const;
+  /// A transaction's entry, the Merkle proof that it is part of its closed
+  /// block's transaction tree, and that block's stored transactions root
+  /// (paper §3.3.1 requirement 4; receipts §5.1).
+  struct TransactionProof {
+    TransactionEntry entry;
+    MerkleProof proof;
+    Hash256 transactions_root;
+  };
+  /// Builds a TransactionProof in one critical section, gathering the
+  /// block's entries by point lookups through the ordinal index: O(B log n)
+  /// for a block of B entries, independent of ledger size. Busy while the
+  /// block is open; Corruption when the stored entries no longer rebuild
+  /// the block's stored root (or the entry's ordinal lies outside the
+  /// block), so no receipt that fails VerifyTransactionReceipt is issued.
+  Result<TransactionProof> ProveTransaction(uint64_t txn_id) const;
 
   /// Raw system stores, exposed only for tamper-simulation tests (the
   /// storage-level attacker of §2.5.2).
@@ -213,6 +228,12 @@ class DatabaseLedger {
   uint64_t assign_block_id_ GUARDED_BY(mu_) = 0;
   uint64_t assign_ordinal_ GUARDED_BY(mu_) = 0;
   std::vector<TransactionEntry> open_entries_ GUARDED_BY(mu_);
+  // Per-block ordinal index: for every closed block still in the ledger,
+  // its transaction ids in block_ordinal order (8 bytes per transaction).
+  // Filled at block close and by LoadFromTables, trimmed by TruncateBelow;
+  // never persisted. Lets receipts and truncation point-read one block's
+  // entries instead of scanning the transactions table.
+  std::map<uint64_t, std::vector<uint64_t>> block_txns_ GUARDED_BY(mu_);
   // Hash of the newest closed block (zero if none).
   Hash256 last_block_hash_ GUARDED_BY(mu_);
   int64_t last_commit_ts_ GUARDED_BY(mu_) = 0;

@@ -119,38 +119,39 @@ Status ImmutableBlobDigestStore::Upload(const DatabaseDigest& digest) {
   if (!st.ok())
     return Status::IOError("cannot create incarnation dir: " + st.message());
 
+  MutexLock lock(&mu_);
+  KnownBlobs& known = known_[dir];
   // Idempotency pass over the incarnation's stored blobs: a retried upload
   // of identical content (ambiguous first attempt, duplicate delivery)
   // returns OK without a second blob, while divergent content for an
-  // already-stored block is a fork. O(blobs) reads per upload is fine at
-  // digest cadence; a real blob service answers this with a content ETag.
-  {
-    std::vector<DatabaseDigest> existing;
-    auto blobs = env_->GetChildren(dir);
-    if (blobs.ok()) {
-      for (const std::string& blob_name : *blobs) {
-        std::string path = dir + "/" + blob_name;
-        auto bytes = env_->ReadFile(path);
-        if (!bytes.ok())
-          return Status::IOError("cannot read digest blob " + path + ": " +
-                                 bytes.status().message());
-        auto stored = DecodeBlobEnvelope(
-            std::string(bytes->begin(), bytes->end()), path);
-        if (!stored.ok()) return stored.status();
-        existing.push_back(std::move(*stored));
-      }
-    }
-    Status dup = CheckDuplicateUpload(existing, digest);
-    if (!dup.IsNotFound()) return dup;
+  // already-stored block is a fork. Only blobs not seen before are read, so
+  // an upload costs O(new blobs) reads; a real blob service answers this
+  // with a content ETag.
+  auto listed = env_->GetChildren(dir);
+  std::vector<std::string> blobs;
+  if (listed.ok()) blobs = std::move(*listed);
+  for (const std::string& blob_name : blobs) {
+    if (known.names.count(blob_name) != 0) continue;
+    std::string path = dir + "/" + blob_name;
+    auto bytes = env_->ReadFile(path);
+    if (!bytes.ok())
+      return Status::IOError("cannot read digest blob " + path + ": " +
+                             bytes.status().message());
+    auto stored =
+        DecodeBlobEnvelope(std::string(bytes->begin(), bytes->end()), path);
+    if (!stored.ok()) return stored.status();
+    known.names.insert(blob_name);
+    known.digests.push_back(std::move(*stored));
   }
+  Status dup = CheckDuplicateUpload(known.digests, digest);
+  if (!dup.IsNotFound()) return dup;
 
   // Sequence number = number of existing blobs. The exclusive create is
   // the write-once enforcement: an existing blob is NEVER opened for
   // writing, and a name collision (concurrent uploader) moves on to the
   // next sequence number instead of overwriting.
   std::string blob = EncodeBlobEnvelope(digest.ToJson());
-  auto children = env_->GetChildren(dir);
-  size_t seq = children.ok() ? children->size() : 0;
+  size_t seq = blobs.size();
   for (int attempt = 0; attempt < 1000; attempt++, seq++) {
     char name[32];
     std::snprintf(name, sizeof(name), "digest-%08zu.json", seq);
@@ -175,6 +176,8 @@ Status ImmutableBlobDigestStore::Upload(const DatabaseDigest& digest) {
                              st.message());
     }
     SL_RETURN_IF_ERROR(env_->SyncDir(dir));
+    known.names.insert(name);
+    known.digests.push_back(digest);
     // Emulate the storage service's immutability policy: strip write
     // permission from the stored blob. Advisory — the digest is durable
     // either way.

@@ -16,6 +16,7 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -80,6 +81,10 @@ class InMemoryDigestStore : public DigestStore {
 /// never opened for writing), and each blob is fsynced plus dir-synced
 /// before Upload returns, matching the durability contract of a real
 /// immutable blob service. All I/O flows through Env for fault injection.
+/// Upload re-lists the incarnation directory every time, so blobs stored by
+/// another writer are still checked, but it reads and decodes only blobs
+/// this instance has not seen before. Thread-safe; uploads through one
+/// instance are serialized.
 class ImmutableBlobDigestStore : public DigestStore {
  public:
   /// `root_dir` is created if absent. `env` = nullptr uses Env::Default().
@@ -94,8 +99,17 @@ class ImmutableBlobDigestStore : public DigestStore {
   ImmutableBlobDigestStore(std::string root_dir, Env* env)
       : root_dir_(std::move(root_dir)), env_(env) {}
 
+  // Digests this instance has already read or written, by blob name.
+  struct KnownBlobs {
+    std::set<std::string> names;
+    std::vector<DatabaseDigest> digests;
+  };
+
   std::string root_dir_;
   Env* env_;
+  Mutex mu_;
+  // Keyed by incarnation directory.
+  std::map<std::string, KnownBlobs> known_ GUARDED_BY(mu_);
 };
 
 /// Generates a digest from `db` and uploads it to `store`, first verifying

@@ -121,17 +121,13 @@ Result<TransactionReceipt> MakeTransactionReceipt(LedgerDatabase* db,
   DatabaseLedger* ledger = db->database_ledger();
   if (ledger == nullptr)
     return Status::NotSupported("ledger is disabled for this database");
-  auto entry = ledger->FindEntry(txn_id);
-  if (!entry.ok()) return entry.status();
-  auto proof = ledger->ProveTransaction(txn_id);
-  if (!proof.ok()) return proof.status();
-  auto block = ledger->FindBlock(entry->block_id);
-  if (!block.ok()) return block.status();
+  auto proven = ledger->ProveTransaction(txn_id);
+  if (!proven.ok()) return proven.status();
 
   TransactionReceipt receipt;
-  receipt.entry = std::move(*entry);
-  receipt.proof = std::move(*proof);
-  receipt.transactions_root = block->transactions_root;
+  receipt.entry = std::move(proven->entry);
+  receipt.proof = std::move(proven->proof);
+  receipt.transactions_root = proven->transactions_root;
   receipt.key_id = db->signer().KeyId();
   receipt.signature = db->signer().Sign(receipt.transactions_root);
   return receipt;

@@ -35,7 +35,9 @@ struct TransactionReceipt {
 };
 
 /// Issues a receipt for a committed transaction. The transaction's block
-/// must be closed — generate a digest first if it is still open.
+/// must be closed — generate a digest first if it is still open (Busy
+/// otherwise). Corruption when the block's stored entries no longer rebuild
+/// its stored root: a receipt is issued only if it verifies.
 Result<TransactionReceipt> MakeTransactionReceipt(LedgerDatabase* db,
                                                   uint64_t txn_id);
 

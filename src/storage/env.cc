@@ -395,6 +395,11 @@ uint64_t FaultInjectionEnv::rename_count() const {
   return renames_;
 }
 
+uint64_t FaultInjectionEnv::read_count() const {
+  MutexLock lock(&mu_);
+  return reads_;
+}
+
 Status FaultInjectionEnv::CheckWriteLocked() {
   if (fail_write_countdown_ > 0 && --fail_write_countdown_ == 0)
     return Status::IOError("injected write failure");
@@ -467,6 +472,7 @@ Result<std::unique_ptr<SequentialFile>> FaultInjectionEnv::NewSequentialFile(
   {
     MutexLock lock(&mu_);
     if (crashed_) return Status::IOError(kCrashedMessage);
+    reads_++;
     corrupt = !corrupt_read_substring_.empty() &&
               path.find(corrupt_read_substring_) != std::string::npos;
   }

@@ -154,10 +154,11 @@ class FaultInjectionEnv : public Env {
   void CorruptReadsMatching(const std::string& substring);
   bool crashed() const;
 
-  // ---- Counters (for sizing crash schedules in tests) ----
+  // ---- Counters (crash-schedule sizing and I/O counts in tests) ----
   uint64_t sync_count() const;
   uint64_t write_count() const;
   uint64_t rename_count() const;
+  uint64_t read_count() const;  // files opened for reading
 
   // ---- Env interface ----
   Result<std::unique_ptr<WritableFile>> NewWritableFile(
@@ -210,6 +211,7 @@ class FaultInjectionEnv : public Env {
   uint64_t writes_ GUARDED_BY(mu_) = 0;
   uint64_t syncs_ GUARDED_BY(mu_) = 0;
   uint64_t renames_ GUARDED_BY(mu_) = 0;
+  uint64_t reads_ GUARDED_BY(mu_) = 0;
   std::map<std::string, FileState> files_ GUARDED_BY(mu_);
   std::vector<PendingRename> pending_renames_ GUARDED_BY(mu_);
 };

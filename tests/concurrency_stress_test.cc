@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "ledger/digest_store.h"
+#include "ledger/receipt.h"
 #include "ledger/verifier.h"
 #include "test_util.h"
 #include "util/random.h"
@@ -208,6 +209,81 @@ TEST(ConcurrencyStressLongTest, MixedWorkloadScaled) {
   cfg.txns_per_writer = 120 * scale;
   cfg.verify_rounds = 3 + scale;
   RunMixedWorkload(cfg);
+}
+
+// Receipts issued while writers commit and a digest thread closes blocks
+// and drains the queue: each receipt is built in one critical section, so
+// every receipt that is issued verifies, whatever closes around it.
+TEST(ConcurrencyStressTest, ReceiptsUnderCommitAndDigestLoad) {
+  auto db = OpenTestDb(/*block_size=*/8);
+  constexpr int kWriters = 4;
+  constexpr int kTxnsPerWriter = 60;
+  for (int w = 0; w < kWriters; w++) {
+    ASSERT_TRUE(db->CreateTable("t" + std::to_string(w), SimpleUserSchema(),
+                                TableKind::kUpdateable)
+                    .ok());
+  }
+
+  std::mutex committed_mu;
+  std::vector<uint64_t> committed;
+  std::atomic<int> writers_done{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; w++) {
+    threads.emplace_back([&, w] {
+      for (int i = 0; i < kTxnsPerWriter; i++) {
+        uint64_t txn_id = 0;
+        if (!InsertOne(db.get(), "t" + std::to_string(w), i, "v", &txn_id)
+                 .ok()) {
+          failures++;
+          continue;
+        }
+        std::lock_guard<std::mutex> lock(committed_mu);
+        committed.push_back(txn_id);
+      }
+      writers_done++;
+    });
+  }
+  // Digests close partially filled blocks; every other round also drains
+  // the queue so proofs mix table and queue entries.
+  threads.emplace_back([&] {
+    for (int round = 0; writers_done.load() < kWriters; round++) {
+      if (!db->GenerateDigest().ok()) failures++;
+      if (round % 2 == 1 && !db->database_ledger()->DrainQueue().ok())
+        failures++;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  std::atomic<int> issued{0};
+  threads.emplace_back([&] {
+    Random rng(TestCaseSeed(99));
+    while (writers_done.load() < kWriters) {
+      uint64_t txn_id;
+      {
+        std::lock_guard<std::mutex> lock(committed_mu);
+        if (committed.empty()) continue;
+        txn_id = committed[rng.Uniform(committed.size())];
+      }
+      auto receipt = MakeTransactionReceipt(db.get(), txn_id);
+      if (receipt.ok()) {
+        issued++;
+        if (!VerifyTransactionReceipt(*receipt, db->signer())) failures++;
+      } else if (receipt.status().code() != StatusCode::kBusy) {
+        failures++;  // Busy = block still open; anything else is a bug
+      }
+    }
+  });
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(issued.load(), 0);
+
+  // Quiesced: every committed transaction gets a receipt that verifies.
+  ASSERT_TRUE(db->GenerateDigest().ok());
+  for (uint64_t txn_id : committed) {
+    auto receipt = MakeTransactionReceipt(db.get(), txn_id);
+    ASSERT_TRUE(receipt.ok()) << receipt.status().ToString();
+    EXPECT_TRUE(VerifyTransactionReceipt(*receipt, db->signer()));
+  }
 }
 
 // Regression: InMemoryDigestStore was unsynchronized; concurrent Upload /

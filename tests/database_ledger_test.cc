@@ -219,7 +219,9 @@ TEST_F(DatabaseLedgerTest, ProveTransactionInClosedBlock) {
     ASSERT_TRUE(proof.ok()) << proof.status().ToString();
     auto block = ledger.FindBlock(0);
     ASSERT_TRUE(block.ok());
-    EXPECT_TRUE(MerkleTree::VerifyProof(entry.LeafHash(), *proof,
+    EXPECT_EQ(proof->entry.txn_id, entry.txn_id);
+    EXPECT_EQ(proof->transactions_root, block->transactions_root);
+    EXPECT_TRUE(MerkleTree::VerifyProof(entry.LeafHash(), proof->proof,
                                         block->transactions_root));
   }
 }

@@ -141,6 +141,48 @@ TEST_F(BlobStoreTest, IncarnationsKeptSeparate) {
   EXPECT_TRUE(std::filesystem::exists(Path("digests") + "/t1_restored"));
 }
 
+TEST_F(BlobStoreTest, UploadReadsEachBlobOnce) {
+  // Upload re-lists the incarnation but reads only blobs it has not seen:
+  // O(new blobs) reads per upload, not O(all blobs).
+  FaultInjectionEnv env;
+  auto a = ImmutableBlobDigestStore::Open(Path("digests"), &env);
+  auto b = ImmutableBlobDigestStore::Open(Path("digests"), &env);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  constexpr uint64_t kUploads = 8;
+  for (uint64_t k = 1; k <= kUploads; k++)
+    ASSERT_TRUE((*a)->Upload(MakeDigest(k, "t0")).ok());
+  EXPECT_EQ(env.read_count(), 0u);  // a wrote every blob it lists
+
+  // Another writer's blobs are read exactly once each, on b's first upload.
+  for (uint64_t k = kUploads + 1; k <= 2 * kUploads; k++)
+    ASSERT_TRUE((*b)->Upload(MakeDigest(k, "t0")).ok());
+  EXPECT_EQ(env.read_count(), kUploads);
+
+  // a now reads b's blobs once, then nothing on later uploads.
+  ASSERT_TRUE((*a)->Upload(MakeDigest(2 * kUploads + 1, "t0")).ok());
+  EXPECT_EQ(env.read_count(), 2 * kUploads);
+  ASSERT_TRUE((*a)->Upload(MakeDigest(2 * kUploads + 2, "t0")).ok());
+  EXPECT_EQ(env.read_count(), 2 * kUploads);
+  EXPECT_EQ((*a)->ListAll()->size(), 2 * kUploads + 2);
+}
+
+TEST_F(BlobStoreTest, ForkCheckSeesAnotherWritersBlob) {
+  auto a = ImmutableBlobDigestStore::Open(Path("digests"));
+  auto b = ImmutableBlobDigestStore::Open(Path("digests"));
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  ASSERT_TRUE((*a)->Upload(MakeDigest(1, "t0")).ok());
+  // b stores block 2 after a has already listed the incarnation once.
+  ASSERT_TRUE((*b)->Upload(MakeDigest(2, "t0")).ok());
+  DatabaseDigest forged = MakeDigest(2, "t0");
+  forged.block_hash.bytes[0] ^= 1;
+  EXPECT_TRUE((*a)->Upload(forged).IsIntegrityViolation());
+  // b's digest re-delivered through a is an idempotent retry.
+  EXPECT_TRUE((*a)->Upload(MakeDigest(2, "t0")).ok());
+  EXPECT_EQ((*a)->ListAll()->size(), 2u);
+}
+
 class UploadFlowTest : public TempDirTest {};
 
 TEST_F(UploadFlowTest, GenerateAndUploadChains) {
